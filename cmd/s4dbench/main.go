@@ -5,12 +5,6 @@
 //
 //	s4dbench [-exp id[,id...]] [-scale f] [-ranks n] [-parallel n] [-full] [-list]
 //	         [-faults plan] [-fault-seed n]
-//	         [-bench-json file] [-bench-hitrate file] [-bench-recovery file]
-//	         [-bench-serve file] [-serve-clients list] [-serve-window d]
-//	         [-bench-serve-scale file] [-serve-procs list]
-//	         [-bench-net file] [-net-conns list] [-net-depths list]
-//	         [-cpuprofile file] [-memprofile file] [-trace file]
-//	         [-mutexprofile file] [-blockprofile file]
 //
 // By default every experiment runs at the quick scale (~1/250 of the
 // paper's data volume, all ratios preserved). -full uses the published
@@ -23,39 +17,8 @@
 // streams the plan draws from. The table is byte-identical for a given
 // (plan, seed) at every -parallel setting.
 //
-// -bench-json runs the hot-path micro-benchmarks plus the experiment
-// suite and writes a machine-readable BENCH_*.json perf report instead of
-// the tables. The profiling flags capture pprof CPU/heap profiles and a
-// runtime trace of whatever the invocation runs.
-//
-// -bench-hitrate runs the cache-policy hit-rate lab (policy × workload
-// sweep) and the adaptive shifting-workload bench, writing their JSON
-// report — the BENCH_pr7.json generator (see `make bench-hitrate`).
-//
-// -bench-recovery runs the warm-restart family: write/drain/read, durable
-// snapshot, crash, and a restart per scenario (cold, warm, torn WAL,
-// bit-rotted store snapshot), reporting recovered residency, quarantine
-// counters, virtual time-to-warm and the post-restart hit rate — the
-// BENCH_pr8.json generator (see `make bench-recovery`).
-//
-// -bench-serve runs the serve/* multi-client throughput family: real
-// client goroutines (-serve-clients counts, -serve-window per point)
-// driving the concurrent S4D engine on the wall-clock backend, reporting
-// aggregate ops/s per client count. The experiment tables always run on
-// the deterministic virtual-time scheduler; -bench-serve and
-// -bench-serve-scale are the only modes that exercise the wall-clock one.
-//
-// -bench-serve-scale runs the serve/scale contention family: a GOMAXPROCS
-// sweep (-serve-procs) over read-heavy/mixed/write-heavy mixes, in both
-// epoch (lock-free read path) and locked (stripe-locked baseline) modes —
-// the BENCH_pr6.json generator. -mutexprofile and -blockprofile capture
-// contention evidence for any invocation.
-//
-// -bench-net runs the serve/net tail-latency family: real TCP connections
-// over loopback into the netserve frontend (-net-conns connection counts ×
-// -net-depths pipeline depths), reporting ops/s and p50/p99/p999 per cell
-// plus a capped-budget overload cell demonstrating BUSY backpressure — the
-// BENCH_pr9.json generator (see `make bench-net`).
+// The tables are deterministic virtual-time results. Wall-clock
+// performance is measured by perfbench (bash perfbench/run.sh), not here.
 package main
 
 import (
@@ -67,7 +30,6 @@ import (
 
 	"s4dcache/internal/bench"
 	"s4dcache/internal/faults"
-	"s4dcache/internal/profiling"
 )
 
 func main() {
@@ -76,34 +38,14 @@ func main() {
 
 func run() int {
 	var (
-		expFlag      = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
-		scale        = flag.Float64("scale", 0, "file-size scale factor (0 = quick default)")
-		ranks        = flag.Int("ranks", 0, "base process count (0 = scale default)")
-		parallel     = flag.Int("parallel", 0, "experiment cells simulated concurrently (0 = GOMAXPROCS)")
-		full         = flag.Bool("full", false, "use the paper's published sizes (slow)")
-		listOnly     = flag.Bool("list", false, "list experiment ids and exit")
-		faultPlan    = flag.String("faults", "", "fault-injection plan for the 'faults' experiment (see internal/faults)")
-		faultSeed    = flag.Int64("fault-seed", 1, "seed for the fault plan's random streams")
-		benchJSON    = flag.String("bench-json", "", "write a machine-readable perf report to this file and exit")
-		benchHit     = flag.String("bench-hitrate", "", "run the cache-policy hit-rate lab and the adaptive shift bench, write their JSON report to this file")
-		benchRecov   = flag.String("bench-recovery", "", "run the warm-restart family (cold/warm/damaged-metadata restarts) and write its JSON report to this file")
-		benchServe   = flag.String("bench-serve", "", "run the serve/* multi-client throughput family and write its JSON report to this file")
-		serveClients = flag.String("serve-clients", "1,4,16", "client-goroutine counts for -bench-serve")
-		serveWindow  = flag.Duration("serve-window", 400*time.Millisecond, "measured window per -bench-serve point")
-		benchScale   = flag.String("bench-serve-scale", "", "run the serve/scale GOMAXPROCS contention sweep and write its JSON report to this file")
-		serveProcs   = flag.String("serve-procs", "1,2,4,8", "GOMAXPROCS values for -bench-serve-scale")
-		benchNet     = flag.String("bench-net", "", "run the serve/net loopback tail-latency family and write its JSON report to this file")
-		benchMeta    = flag.String("bench-metascale", "", "run the metadata-at-scale family (100k/1M files, resident-budget sweep) and write its JSON report to this file")
-		metaFiles    = flag.String("meta-files", "100000,1000000", "distinct-file counts for -bench-metascale")
-		metaExtents  = flag.Int("meta-extents", 8, "mapped extents per file for -bench-metascale")
-		metaLookups  = flag.Int("meta-lookups", 200000, "random lookups per -bench-metascale cell")
-		netConns     = flag.String("net-conns", "8,32,128", "connection counts for -bench-net")
-		netDepths    = flag.String("net-depths", "1,4", "pipeline depths for -bench-net")
-		cpuProf      = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProf      = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
-		tracePath    = flag.String("trace", "", "write a runtime execution trace to this file")
-		mutexProf    = flag.String("mutexprofile", "", "write a pprof mutex-contention profile to this file at exit")
-		blockProf    = flag.String("blockprofile", "", "write a pprof goroutine-blocking profile to this file at exit")
+		expFlag   = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
+		scale     = flag.Float64("scale", 0, "file-size scale factor (0 = quick default)")
+		ranks     = flag.Int("ranks", 0, "base process count (0 = scale default)")
+		parallel  = flag.Int("parallel", 0, "experiment cells simulated concurrently (0 = GOMAXPROCS)")
+		full      = flag.Bool("full", false, "use the paper's published sizes (slow)")
+		listOnly  = flag.Bool("list", false, "list experiment ids and exit")
+		faultPlan = flag.String("faults", "", "fault-injection plan for the 'faults' experiment (see internal/faults)")
+		faultSeed = flag.Int64("fault-seed", 1, "seed for the fault plan's random streams")
 	)
 	flag.Parse()
 
@@ -113,23 +55,6 @@ func run() int {
 		}
 		return 0
 	}
-
-	stopProf, err := profiling.Config{
-		CPUProfile:   *cpuProf,
-		MemProfile:   *memProf,
-		Trace:        *tracePath,
-		MutexProfile: *mutexProf,
-		BlockProfile: *blockProf,
-	}.Start()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "s4dbench: %v\n", err)
-		return 1
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintf(os.Stderr, "s4dbench: %v\n", err)
-		}
-	}()
 
 	cfg := bench.Quick()
 	if *full {
@@ -155,197 +80,6 @@ func run() int {
 			// experiment it parameterizes.
 			*expFlag = "faults"
 		}
-	}
-
-	if *benchServe != "" {
-		var clients []int
-		for _, s := range strings.Split(*serveClients, ",") {
-			var n int
-			if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &n); err != nil || n <= 0 {
-				fmt.Fprintf(os.Stderr, "s4dbench: -serve-clients: bad count %q\n", s)
-				return 2
-			}
-			clients = append(clients, n)
-		}
-		f, err := os.Create(*benchServe)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "s4dbench: %v\n", err)
-			return 1
-		}
-		serveCfg := bench.ServeConfig{Clients: clients, Window: *serveWindow}
-		if err := bench.EmitServeJSON(f, serveCfg, os.Stderr); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "s4dbench: %v\n", err)
-			return 1
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "s4dbench: %v\n", err)
-			return 1
-		}
-		fmt.Printf("s4dbench: wrote %s\n", *benchServe)
-		return 0
-	}
-
-	if *benchScale != "" {
-		var procs []int
-		for _, s := range strings.Split(*serveProcs, ",") {
-			var n int
-			if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &n); err != nil || n <= 0 {
-				fmt.Fprintf(os.Stderr, "s4dbench: -serve-procs: bad value %q\n", s)
-				return 2
-			}
-			procs = append(procs, n)
-		}
-		f, err := os.Create(*benchScale)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "s4dbench: %v\n", err)
-			return 1
-		}
-		scaleCfg := bench.ServeScaleConfig{Procs: procs, Window: *serveWindow}
-		if err := bench.EmitServeScaleJSON(f, scaleCfg, os.Stderr); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "s4dbench: %v\n", err)
-			return 1
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "s4dbench: %v\n", err)
-			return 1
-		}
-		fmt.Printf("s4dbench: wrote %s\n", *benchScale)
-		return 0
-	}
-
-	if *benchNet != "" {
-		parseList := func(name, val string) ([]int, bool) {
-			var out []int
-			for _, s := range strings.Split(val, ",") {
-				var n int
-				if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &n); err != nil || n <= 0 {
-					fmt.Fprintf(os.Stderr, "s4dbench: %s: bad value %q\n", name, s)
-					return nil, false
-				}
-				out = append(out, n)
-			}
-			return out, true
-		}
-		conns, ok := parseList("-net-conns", *netConns)
-		if !ok {
-			return 2
-		}
-		depths, ok := parseList("-net-depths", *netDepths)
-		if !ok {
-			return 2
-		}
-		f, err := os.Create(*benchNet)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "s4dbench: %v\n", err)
-			return 1
-		}
-		netCfg := bench.ServeNetConfig{Conns: conns, Depths: depths, Window: *serveWindow}
-		if err := bench.EmitServeNetJSON(f, netCfg, os.Stderr); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "s4dbench: %v\n", err)
-			return 1
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "s4dbench: %v\n", err)
-			return 1
-		}
-		fmt.Printf("s4dbench: wrote %s\n", *benchNet)
-		return 0
-	}
-
-	if *benchMeta != "" {
-		var files []int
-		for _, s := range strings.Split(*metaFiles, ",") {
-			var n int
-			if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &n); err != nil || n <= 0 {
-				fmt.Fprintf(os.Stderr, "s4dbench: -meta-files: bad count %q\n", s)
-				return 2
-			}
-			files = append(files, n)
-		}
-		f, err := os.Create(*benchMeta)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "s4dbench: %v\n", err)
-			return 1
-		}
-		msc := bench.DefaultMetaScale()
-		msc.Files = files
-		if *metaExtents > 0 {
-			msc.ExtentsPerFile = *metaExtents
-		}
-		if *metaLookups > 0 {
-			msc.Lookups = *metaLookups
-		}
-		if err := bench.EmitMetaScaleJSON(f, msc, os.Stderr); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "s4dbench: %v\n", err)
-			return 1
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "s4dbench: %v\n", err)
-			return 1
-		}
-		fmt.Printf("s4dbench: wrote %s\n", *benchMeta)
-		return 0
-	}
-
-	if *benchHit != "" {
-		f, err := os.Create(*benchHit)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "s4dbench: %v\n", err)
-			return 1
-		}
-		if err := bench.EmitHitRateJSON(f, cfg, os.Stderr); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "s4dbench: %v\n", err)
-			return 1
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "s4dbench: %v\n", err)
-			return 1
-		}
-		fmt.Printf("s4dbench: wrote %s\n", *benchHit)
-		return 0
-	}
-
-	if *benchRecov != "" {
-		f, err := os.Create(*benchRecov)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "s4dbench: %v\n", err)
-			return 1
-		}
-		if err := bench.EmitRecoveryJSON(f, cfg, os.Stderr); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "s4dbench: %v\n", err)
-			return 1
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "s4dbench: %v\n", err)
-			return 1
-		}
-		fmt.Printf("s4dbench: wrote %s\n", *benchRecov)
-		return 0
-	}
-
-	if *benchJSON != "" {
-		f, err := os.Create(*benchJSON)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "s4dbench: %v\n", err)
-			return 1
-		}
-		if err := bench.EmitJSON(f, cfg, os.Stderr); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "s4dbench: %v\n", err)
-			return 1
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "s4dbench: %v\n", err)
-			return 1
-		}
-		fmt.Printf("s4dbench: wrote %s\n", *benchJSON)
-		return 0
 	}
 
 	var selected []bench.Experiment

@@ -4,12 +4,6 @@
 // Usage:
 //
 //	s4dreport [-o EXPERIMENTS.md] [-scale f] [-ranks n] [-parallel n] [-full]
-//	          [-bench-json file] [-cpuprofile file] [-memprofile file] [-trace file]
-//	          [-mutexprofile file] [-blockprofile file]
-//
-// -bench-json skips the markdown report and instead runs the hot-path
-// micro-benchmarks plus the experiment suite, writing a machine-readable
-// BENCH_*.json perf report (the same report s4dbench -bench-json emits).
 package main
 
 import (
@@ -21,7 +15,6 @@ import (
 	"time"
 
 	"s4dcache/internal/bench"
-	"s4dcache/internal/profiling"
 )
 
 // paperBaseline records, per experiment, what the paper reports and how
@@ -119,36 +112,13 @@ func main() {
 
 func run() int {
 	var (
-		out       = flag.String("o", "EXPERIMENTS.md", "output file")
-		scale     = flag.Float64("scale", 0, "file-size scale factor (0 = quick default)")
-		ranks     = flag.Int("ranks", 0, "base process count")
-		parallel  = flag.Int("parallel", 0, "experiment cells simulated concurrently (0 = GOMAXPROCS)")
-		full      = flag.Bool("full", false, "use the paper's published sizes (slow)")
-		benchJSON = flag.String("bench-json", "", "write a machine-readable perf report to this file and exit")
-		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProf   = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
-		tracePath = flag.String("trace", "", "write a runtime execution trace to this file")
-		mutexProf = flag.String("mutexprofile", "", "write a pprof mutex-contention profile to this file at exit")
-		blockProf = flag.String("blockprofile", "", "write a pprof goroutine-blocking profile to this file at exit")
+		out      = flag.String("o", "EXPERIMENTS.md", "output file")
+		scale    = flag.Float64("scale", 0, "file-size scale factor (0 = quick default)")
+		ranks    = flag.Int("ranks", 0, "base process count")
+		parallel = flag.Int("parallel", 0, "experiment cells simulated concurrently (0 = GOMAXPROCS)")
+		full     = flag.Bool("full", false, "use the paper's published sizes (slow)")
 	)
 	flag.Parse()
-
-	stopProf, err := profiling.Config{
-		CPUProfile:   *cpuProf,
-		MemProfile:   *memProf,
-		Trace:        *tracePath,
-		MutexProfile: *mutexProf,
-		BlockProfile: *blockProf,
-	}.Start()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "s4dreport: %v\n", err)
-		return 1
-	}
-	defer func() {
-		if err := stopProf(); err != nil {
-			fmt.Fprintf(os.Stderr, "s4dreport: %v\n", err)
-		}
-	}()
 
 	cfg := bench.Quick()
 	if *full {
@@ -161,25 +131,6 @@ func run() int {
 		cfg.Ranks = *ranks
 	}
 	cfg.Parallel = *parallel
-
-	if *benchJSON != "" {
-		f, err := os.Create(*benchJSON)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "s4dreport: %v\n", err)
-			return 1
-		}
-		if err := bench.EmitJSON(f, cfg, os.Stderr); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "s4dreport: %v\n", err)
-			return 1
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "s4dreport: %v\n", err)
-			return 1
-		}
-		fmt.Printf("s4dreport: wrote %s\n", *benchJSON)
-		return 0
-	}
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "# EXPERIMENTS — paper vs. measured\n\n")

@@ -11,8 +11,9 @@ import (
 // linear sub-buckets, giving a bounded relative error of 1/histSub
 // (~3.1%) across the full range of time.Duration. Recording touches one
 // atomic counter — 0 allocs/op, safe from any number of goroutines — so a
-// single histogram can be shared by hundreds of bench clients (the serve
-// families all do). Percentiles are computed by a bucket walk at report
+// single histogram can be shared by hundreds of clients (the network
+// serve smoke test shares one per cell). Percentiles are computed by a
+// bucket walk at report
 // time; the reported value is the bucket's upper bound, so quantiles are
 // conservative (never under-reported).
 type LatencyHist struct {
@@ -155,6 +156,3 @@ func (h *LatencyHist) Merge(other *LatencyHist) {
 		}
 	}
 }
-
-// micros renders a duration as float microseconds for the JSON reports.
-func micros(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }

@@ -198,7 +198,7 @@ type hitRow struct {
 }
 
 // collectHitRate runs the full policy × workload sweep and returns the
-// labelled cells (table rendering and the JSON report share it).
+// labelled cells.
 func collectHitRate(cfg Config) ([]hitRow, error) {
 	workloads := hitRateWorkloads(cfg)
 	policies := hitRatePolicies()

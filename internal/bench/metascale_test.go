@@ -23,7 +23,7 @@ func TestMetaScaleSmoke(t *testing.T) {
 		BudgetFracs:    []float64{0.25, 0.10},
 		Lookups:        lookups,
 	}
-	rows, err := collectMetaScale(msc, nil)
+	rows, err := collectMetaScale(msc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestMetaScaleSmoke(t *testing.T) {
 // budget moves metadata, never correctness — while actually faulting
 // spilled records back in on the read path.
 func TestMetaScaleEngineCells(t *testing.T) {
-	rows, err := collectMetaEngine(600, nil)
+	rows, err := collectMetaEngine(600)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,23 +113,17 @@ func (t *Table) lookup(file string) *extent.Map[Info] {
 	return t.files[id]
 }
 
-// Add records [off, off+length) of file as critical. Re-adding an existing
-// range refreshes its benefit and keeps its C_flag.
-func (t *Table) Add(file string, off, length int64, benefit time.Duration) {
+// Add records [off, off+length) of file as critical and reports whether
+// the range was not already fully covered. Re-adding an existing range
+// refreshes its benefit and keeps its C_flag.
+func (t *Table) Add(file string, off, length int64, benefit time.Duration) (grew bool) {
 	if length <= 0 {
-		return
+		return false
 	}
 	id, m := t.fileMap(file)
-	// Preserve an existing C_flag if the new range overlaps flagged data.
-	flag := false
-	t.ov = m.AppendOverlaps(t.ov[:0], off, length)
-	for _, e := range t.ov {
-		if e.Val.CFlag {
-			flag = true
-			break
-		}
-	}
 	total, flaggedOv := t.overlapBytes(m, off, length)
+	// Preserve an existing C_flag if the new range overlaps flagged data.
+	flag := flaggedOv > 0
 	t.bytes -= total
 	t.flagged -= flaggedOv
 	t.seq++
@@ -144,6 +138,7 @@ func (t *Table) Add(file string, off, length int64, benefit time.Duration) {
 		t.order = append(t.order, fifoRef{id: id, off: off, len: length, seq: t.seq})
 		t.evict()
 	}
+	return total < length
 }
 
 // Contains reports whether [off, off+length) is fully covered by critical

@@ -43,6 +43,8 @@ type cstripe struct {
 	// view/version as in dmt.dstripe: stored under mu, loaded lock-free.
 	view    atomic.Pointer[cstripeView]
 	version atomic.Uint64
+	// runsBuf is the republish scratch (view.go), guarded by mu.
+	runsBuf []Run
 	_       [64]byte
 }
 
@@ -131,13 +133,12 @@ func (s *Striped) Add(file string, off, length int64, benefit time.Duration) {
 	sh := &s.stripes[stripeIndex(file)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	covered := sh.t.Contains(file, off, length)
 	evicted := sh.t.Evicted()
-	sh.t.Add(file, off, length, benefit)
+	grew := sh.t.Add(file, off, length, benefit)
 	switch {
 	case sh.t.Evicted() != evicted:
 		sh.republishAll()
-	case !covered:
+	case grew:
 		sh.republish(file)
 	}
 }

@@ -56,13 +56,25 @@ func appendMergedRuns(dst []Run, m *extent.Map[Info]) []Run {
 	return dst
 }
 
+// snapshotRuns builds the immutable published runs of m (nil or empty:
+// no coverage). The runs are merged in the stripe's scratch buffer and
+// copied out at their exact count: the only bound known up front,
+// m.Len(), counts unmerged extents and overstates the run count many
+// times over on a file fragmented by overlapping re-adds, and each
+// snapshot becomes garbage as soon as the next one replaces it. Must run
+// with the stripe mutex held.
+func (sh *cstripe) snapshotRuns(m *extent.Map[Info]) *fileRuns {
+	if m == nil || m.Len() == 0 {
+		return emptyFileRuns
+	}
+	sh.runsBuf = appendMergedRuns(sh.runsBuf[:0], m)
+	return &fileRuns{runs: append([]Run(nil), sh.runsBuf...)}
+}
+
 // republish rebuilds file's published coverage from the live table. Must
 // run with the stripe mutex held.
 func (sh *cstripe) republish(file string) {
-	fr := emptyFileRuns
-	if m := sh.t.lookup(file); m != nil && m.Len() > 0 {
-		fr = &fileRuns{runs: appendMergedRuns(make([]Run, 0, m.Len()), m)}
-	}
+	fr := sh.snapshotRuns(sh.t.lookup(file))
 	v := sh.view.Load()
 	if v != nil {
 		if slot := v.files[file]; slot != nil {
@@ -96,11 +108,7 @@ func (sh *cstripe) republishAll() {
 	t := sh.t
 	files := make(map[string]*runSlot, len(t.ids))
 	for _, id := range t.ids {
-		m := t.files[id]
-		fr := emptyFileRuns
-		if m.Len() > 0 {
-			fr = &fileRuns{runs: appendMergedRuns(make([]Run, 0, m.Len()), m)}
-		}
+		fr := sh.snapshotRuns(t.files[id])
 		slot := &runSlot{}
 		slot.runs.Store(fr)
 		files[t.arena.Name(id)] = slot

@@ -14,12 +14,12 @@ import (
 
 // newPerfTestbed builds a performance-mode (metadata-only stores, no DMT
 // persistence) S4D deployment for allocation measurement.
-func newPerfTestbed(t *testing.T) *testbed {
+func newPerfTestbed(t testing.TB) *testbed {
 	t.Helper()
 	return newPerfTestbedCfg(t, nil)
 }
 
-func newPerfTestbedCfg(t *testing.T, mutate func(*Config)) *testbed {
+func newPerfTestbedCfg(t testing.TB, mutate func(*Config)) *testbed {
 	t.Helper()
 	eng := sim.NewEngine()
 	mk := func(label string, servers int, dev func(i int) device.Device) *pfs.FS {

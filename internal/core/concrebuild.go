@@ -16,6 +16,9 @@ import (
 // at a time, blocking on its asynchronous I/O chain before taking the
 // next; cross-file parallelism comes from the pool width.
 
+// rebuildWorkers is the Rebuilder's pool width.
+const rebuildWorkers = 4
+
 // crTask is one unit of Rebuilder data movement — or, with recover set,
 // one file's warm-restart re-admission (concrecovery.go), which rides the
 // same per-file worker routing for ordering and carries no cycle.

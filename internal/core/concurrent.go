@@ -52,8 +52,6 @@ type ConcurrentConfig struct {
 	RebuildPeriod time.Duration
 	// RebuildBatch caps extents flushed and fetched per cycle; 0 means 64.
 	RebuildBatch int
-	// RebuildWorkers sizes the Rebuilder's worker pool; 0 means 4.
-	RebuildWorkers int
 	// MetaStore, if non-nil, persists the DMT through this store (the
 	// sharded engine uses the lock-striped table over the same store).
 	MetaStore *kvstore.Store
@@ -74,10 +72,6 @@ type ConcurrentConfig struct {
 	// Faulty enables the degraded-mode checks on the serve path from the
 	// start (required when servers may crash before the first failure).
 	Faulty bool
-	// LockedReads forces reads through the stripe-locked path, disabling
-	// the epoch-view fast path — the contention baseline of the serve
-	// scaling benchmarks. Leave false in production use.
-	LockedReads bool
 	// CachePolicy selects the cache-space eviction/admission policy by
 	// name (cachespace.PolicyNames), applied to every shard region.
 	// Empty means the clean-LRU default.
@@ -124,13 +118,12 @@ type ConcurrentConfig struct {
 // the invariant the lock-free read path's pin-then-revalidate protocol
 // relies on (readFast).
 type Concurrent struct {
-	clock       sim.Clock
-	opfs        Backend
-	cpfs        Backend
-	model       costmodel.Params
-	policy      AdmissionPolicy
-	faulty      atomic.Bool
-	lockedReads bool
+	clock  sim.Clock
+	opfs   Backend
+	cpfs   Backend
+	model  costmodel.Params
+	policy AdmissionPolicy
+	faulty atomic.Bool
 
 	shards []cshard
 	dmt    *dmt.Striped
@@ -300,9 +293,6 @@ func NewConcurrent(cfg ConcurrentConfig) (*Concurrent, error) {
 	if cfg.RebuildBatch <= 0 {
 		cfg.RebuildBatch = 64
 	}
-	if cfg.RebuildWorkers <= 0 {
-		cfg.RebuildWorkers = 4
-	}
 	if cfg.RecoverBatch <= 0 {
 		cfg.RecoverBatch = defaultRecoverBatch
 	}
@@ -339,7 +329,6 @@ func NewConcurrent(cfg ConcurrentConfig) (*Concurrent, error) {
 		cpfs:         cfg.CPFS,
 		model:        cfg.Model,
 		policy:       cfg.Policy,
-		lockedReads:  cfg.LockedReads,
 		shards:       make([]cshard, cfg.Concurrency),
 		cdt:          cdt.NewStriped(cfg.CDTMaxBytes, cdt.WithArena(arena)),
 		space:        space,
@@ -391,7 +380,7 @@ func NewConcurrent(cfg ConcurrentConfig) (*Concurrent, error) {
 			sh.locality = newLocalityTracker(0, 0)
 		}
 	}
-	c.workerCh = make([]chan crTask, cfg.RebuildWorkers)
+	c.workerCh = make([]chan crTask, rebuildWorkers)
 	for i := range c.workerCh {
 		c.workerCh[i] = make(chan crTask, 2*cfg.RebuildBatch)
 		go c.rebuildWorker(c.workerCh[i])
@@ -682,7 +671,7 @@ func (c *Concurrent) Read(rank int, file string, off, size int64, buf []byte, do
 
 	benefit := c.identify(sh, rank, file, off, size, false)
 
-	if !c.lockedReads && !c.faulty.Load() && c.readFast(sh, file, off, size, buf, done, benefit) {
+	if !c.faulty.Load() && c.readFast(sh, file, off, size, buf, done, benefit) {
 		return nil
 	}
 	sh.mu.Lock()

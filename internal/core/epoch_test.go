@@ -13,10 +13,12 @@ import (
 	"s4dcache/internal/sim"
 )
 
-// newEpochTestbed is newConcTestbed with the epoch knobs exposed: the
-// locked-reads baseline switch and a cache capacity small enough to force
-// eviction churn when asked.
-func newEpochTestbed(t *testing.T, shards int, capacity int64, lockedReads bool) *concTestbed {
+// newEpochTestbed is newConcTestbed with the epoch knobs exposed: a cache
+// capacity small enough to force eviction churn when asked, and the
+// stripe-locked reference read path. locked builds the engine Faulty over
+// backends that never fail: degraded-mode checks stay on but never fire,
+// and every read takes readLocked instead of the epoch fast path.
+func newEpochTestbed(t *testing.T, shards int, capacity int64, locked bool) *concTestbed {
 	t.Helper()
 	clock := sim.NewWallClock()
 	mkWall := func(label string, servers int) *pfs.WallFS {
@@ -51,7 +53,7 @@ func newEpochTestbed(t *testing.T, shards int, capacity int64, lockedReads bool)
 		CacheCapacity: capacity,
 		Concurrency:   shards,
 		Policy:        PolicyAll,
-		LockedReads:   lockedReads,
+		Faulty:        locked,
 		// A running Rebuilder keeps flushing dirty extents clean, so
 		// undersized caches actually evict (dirty space is never reclaimed)
 		// — the churn test's precondition.
@@ -65,7 +67,7 @@ func newEpochTestbed(t *testing.T, shards int, capacity int64, lockedReads bool)
 }
 
 // TestConcurrentEpochVsLockedReads runs one seeded write-then-read
-// workload on two engines — epoch fast path and the LockedReads baseline —
+// workload on two engines — epoch fast path and the stripe-locked path —
 // and requires byte-identical read-backs plus identical hit accounting.
 // The fast path is an implementation of the same routing, not a different
 // policy; any divergence in what got served from cache is a bug.

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -206,7 +207,7 @@ func (c *Client) Go(op uint8, file string, off, size int64, data, buf []byte) *C
 	if op != netserve.OpWrite && op != netserve.OpRead {
 		return c.fail(call, fmt.Errorf("netclient: bad op %d", op))
 	}
-	if len(file) == 0 || len(file) > netserve.MaxNameLen || off < 0 || size <= 0 || size > netserve.MaxPayload {
+	if len(file) == 0 || len(file) > netserve.MaxNameLen || off < 0 || size <= 0 || size > netserve.MaxPayload || off > math.MaxInt64-size {
 		return c.fail(call, fmt.Errorf("netclient: bad request %s %q off=%d size=%d", opString(op), file, off, size))
 	}
 	if c.credits != nil {

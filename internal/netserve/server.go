@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -131,12 +132,16 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed: drain or shutdown
 		}
+		// Checked under mu: Drain sets the read deadline of every
+		// registered connection under mu, so a connection is either seen
+		// there or refused here.
+		s.mu.Lock()
 		if s.draining.Load() || s.closed.Load() {
+			s.mu.Unlock()
 			nc.Close()
 			continue
 		}
 		s.accepted.Add(1)
-		s.mu.Lock()
 		id := s.next
 		s.next++
 		if s.cfg.WrapConn != nil {
@@ -152,9 +157,10 @@ func (s *Server) acceptLoop() {
 }
 
 // Drain gracefully shuts the server down: stop accepting, answer new
-// requests with DRAINING, let every in-flight request complete and its
-// response flush, then close the connections. Returns ctx.Err() if the
-// context expires first (connections are then closed abruptly).
+// requests with DRAINING, let every in-flight request complete, then stop
+// each connection's reader so its writer flushes the queued responses and
+// closes the socket. Returns ctx.Err() if the context expires first
+// (connections are then closed abruptly).
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
 	s.ln.Close()
@@ -162,15 +168,30 @@ func (s *Server) Drain(ctx context.Context) error {
 	defer tick.Stop()
 	var err error
 wait:
-	for {
-		if s.global.Load() == 0 {
-			break
-		}
+	for s.global.Load() != 0 {
 		select {
 		case <-ctx.Done():
 			err = ctx.Err()
 			break wait
 		case <-tick.C:
+		}
+	}
+	if err == nil {
+		// The budget is released before a response's socket write, so a
+		// zero count does not mean the responses are out yet. A past read
+		// deadline ends every reader; each writer then drains its queue
+		// and closes its connection (writeLoop).
+		s.mu.Lock()
+		for _, c := range s.conns {
+			c.nc.SetReadDeadline(time.Now())
+		}
+		s.mu.Unlock()
+		flushed := make(chan struct{})
+		go func() { s.wg.Wait(); close(flushed) }()
+		select {
+		case <-flushed:
+		case <-ctx.Done():
+			err = ctx.Err()
 		}
 	}
 	s.closeConns()
@@ -359,7 +380,8 @@ func (c *sconn) readFrame(br *bufio.Reader) (r *request, fatal bool, err error) 
 	r = c.acquire()
 	r.id = h.ID
 	r.op = h.Op
-	if h.NameLen == 0 || int(h.NameLen) > MaxNameLen || h.Size < 0 || h.Size > MaxPayload || h.Off < 0 && h.Op != OpHello {
+	if h.NameLen == 0 || int(h.NameLen) > MaxNameLen || h.Size < 0 || h.Size > MaxPayload ||
+		h.Op != OpHello && (h.Off < 0 || h.Off > math.MaxInt64-h.Size) {
 		return r, true, fmt.Errorf("netserve: bad frame (op=%d nameLen=%d off=%d size=%d)", h.Op, h.NameLen, h.Off, h.Size)
 	}
 	extra := int64(h.NameLen)
@@ -444,12 +466,19 @@ func opString(op uint8) string {
 
 // dispatch admits one decoded request into the engine, or answers BUSY /
 // DRAINING without dispatching. Window accounting: a slot is held from
-// here until the response hits the socket (writeResponse), so the bound
-// covers the full server-side life of a request.
+// here until the response is about to be written (writeResponse), so the
+// bound covers the full server-side life of a request.
 func (c *sconn) dispatch(r *request) {
 	s := c.srv
 	s.requests.Add(1)
 	if s.draining.Load() {
+		if s.closed.Load() {
+			// Close is tearing the connection down (Close sets closed
+			// before draining): answer nothing, so the client sees a
+			// crash, not a drain.
+			c.release(r)
+			return
+		}
 		s.drained.Add(1)
 		c.respond(r, StatusDraining)
 		return
@@ -507,7 +536,9 @@ func (c *sconn) writeLoop() {
 
 // writeResponse encodes one response into the request's own buffer (header
 // and any read payload are contiguous, one socket write) and releases the
-// request.
+// request. The window slot and the global budget are returned before the
+// socket write: once the response is on the wire the client may reuse the
+// credit, and its next request must not find the slot still held.
 func (c *sconn) writeResponse(r *request, w io.Writer) {
 	payload := int64(0)
 	if r.status == StatusOK && r.op == OpRead && c.srv.cfg.Payload {
@@ -525,14 +556,16 @@ func (c *sconn) writeResponse(r *request, w io.Writer) {
 		Value:      r.value,
 		PayloadLen: uint32(payload),
 	})
-	if _, err := w.Write(b); err != nil {
-		c.srv.writeErrors.Add(1)
-	}
 	counted := r.counted
-	c.release(r)
 	if counted {
 		c.inflight.Add(-1)
 		c.srv.global.Add(-1)
+	}
+	if _, err := w.Write(b); err != nil {
+		c.srv.writeErrors.Add(1)
+	}
+	c.release(r)
+	if counted {
 		c.maybeFinish()
 	}
 }

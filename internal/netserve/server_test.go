@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -320,6 +321,38 @@ func TestDrain(t *testing.T) {
 	}
 }
 
+// TestDrainFlushesSlowResponse checks Drain waits for a response that is
+// still being written. The window slot and the budget are released before
+// the socket write, so a zero in-flight count alone does not mean the
+// response is out.
+func TestDrainFlushesSlowResponse(t *testing.T) {
+	srv, err := netserve.Serve(netserve.Config{
+		Engine:   newStubEngine(),
+		WrapConn: func(c net.Conn, _ int) net.Conn { return slowWriteConn{c} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := dial(t, srv, netclient.Options{Tenant: "t"})
+	call := cl.Go(netserve.OpWrite, "f", 0, 4096, nil, nil)
+	waitFor(t, func() bool { st := srv.Stats(); return st.Requests == 1 && st.InFlight == 0 })
+	if err := srv.Drain(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	<-call.Done
+	if call.Err != nil {
+		t.Fatalf("response written during drain: %v", call.Err)
+	}
+}
+
+// slowWriteConn delays every write by 50ms.
+type slowWriteConn struct{ net.Conn }
+
+func (c slowWriteConn) Write(b []byte) (int, error) {
+	time.Sleep(50 * time.Millisecond)
+	return c.Conn.Write(b)
+}
+
 // TestServerCloseFailsPending checks an abrupt server close surfaces
 // ErrConnClosed on pending calls, and Reconnect restores service once a
 // new server listens on the same address.
@@ -450,12 +483,38 @@ func TestBadFrame(t *testing.T) {
 // TestCreditTracking checks a cooperative client (credits = granted
 // window) never draws BUSY even when oversubscribed by callers.
 func TestCreditTracking(t *testing.T) {
+	creditScenario(t, netserve.Config{Window: 4})
+}
+
+// TestCreditTrackingStress repeats the credit scenario across GOMAXPROCS
+// settings, with and without a server-wide budget equal to the window.
+// The server must release a request's window slot and budget before its
+// response reaches the socket: a client that sends its next request the
+// moment a response arrives is otherwise answered BUSY while it stays
+// inside its window. Single-core scheduling rarely opens that gap, so
+// the GOMAXPROCS=2 and 8 rounds are what catch a regression.
+func TestCreditTrackingStress(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for round := 0; round < 4; round++ {
+			creditScenario(t, netserve.Config{Window: 4})
+			creditScenario(t, netserve.Config{Window: 4, MaxInFlight: 4})
+		}
+	}
+}
+
+// creditScenario drives 16 callers through one cooperative client and
+// fails if the server answered any of them BUSY.
+func creditScenario(t *testing.T, cfg netserve.Config) {
+	t.Helper()
 	eng := newStubEngine()
 	eng.delay = 100 * time.Microsecond
-	srv := startServer(t, netserve.Config{Engine: eng, Window: 4})
+	cfg.Engine = eng
+	srv := startServer(t, cfg)
 	cl := dial(t, srv, netclient.Options{Tenant: "t"})
-	if cl.Window() != 4 {
-		t.Fatalf("granted window %d, want 4", cl.Window())
+	if cl.Window() != cfg.Window {
+		t.Fatalf("granted window %d, want %d", cl.Window(), cfg.Window)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
@@ -472,7 +531,8 @@ func TestCreditTracking(t *testing.T) {
 	}
 	wg.Wait()
 	if st := srv.Stats(); st.Busy != 0 {
-		t.Fatalf("cooperative client drew %d BUSY responses", st.Busy)
+		t.Fatalf("GOMAXPROCS=%d max-in-flight=%d: cooperative client drew %d BUSY responses",
+			runtime.GOMAXPROCS(0), cfg.MaxInFlight, st.Busy)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 
 // newPerfFS builds a performance-mode (metadata-only) FS for allocation
 // measurement.
-func newPerfFS(t *testing.T) (*sim.Engine, *FS) {
+func newPerfFS(t testing.TB) (*sim.Engine, *FS) {
 	t.Helper()
 	eng := sim.NewEngine()
 	fs, err := New(Config{
